@@ -290,7 +290,7 @@ def repair_rows(
             repaired = table.repair(delta)
             rows_axis = cold.result.flat.y_red.shape[0]
             valid = (
-                np.arange(rows_axis)[:, None, None] <= cold.result.flat.depth[None, None, :]
+                np.arange(rows_axis)[:, None, None] <= cold.result.flat.plan.depth[None, None, :]
             )
             for field in ("y_red", "y_blue"):
                 assert np.array_equal(

@@ -14,8 +14,9 @@ The sub-modules map directly onto the paper's sections:
   per-node reference implementation,
 * :mod:`repro.core.engine` — the gather-engine registry,
 * :mod:`repro.core.flat` — the flat ``(l, i, node)`` tensor layout the
-  batched kernels share, plus the :class:`~repro.core.flat.FlatCostModel`
-  metadata the flat cost kernel traverses,
+  batched kernels share: the per-structure :class:`~repro.core.flat.FlatPlan`
+  and the :class:`~repro.core.flat.FlatCostModel` the flat cost kernel
+  traverses,
 * :mod:`repro.core.solver` — the user-facing staged API
   (:class:`Solver` / :class:`GatherTable` / :class:`Placement`),
 * :mod:`repro.core.bruteforce` — the exhaustive reference used for

@@ -216,7 +216,8 @@ def soar_color_batched(
     budget = _validated_budget(tree, gathered, budget)
     decide = np.less if _decide is None else _decide
     flat = flat_tables_for(tree, gathered)
-    n = len(flat.order)
+    plan = flat.plan
+    n = len(plan.order)
 
     # The leaf colour rule depends on the *caller's* loads and Λ, exactly
     # as the reference consults ``tree`` rather than gather-time state.
@@ -227,19 +228,18 @@ def soar_color_batched(
     if tree is flat.tree:
         load, avail = flat.load, flat.avail
     else:
-        load = np.fromiter((tree.load(v) for v in flat.order), dtype=np.int64, count=n)
-        avail = np.fromiter((v in tree.available for v in flat.order), dtype=bool, count=n)
+        load, avail = plan.tree_loads(tree), plan.avail_vector(tree.available)
 
     # (budget, distance) each node receives from its parent; the
     # destination sends (k, 1) to the root (Algorithm 4 line 2).
     budget_vec = np.zeros(n, dtype=np.int64)
     dist_vec = np.ones(n, dtype=np.int64)
-    budget_vec[flat.index[gathered.root]] = budget
+    budget_vec[plan.index[gathered.root]] = budget
 
     chosen: list[np.ndarray] = []
-    for start, stop in flat.level_slices:
+    for start, stop in plan.level_slices:
         level = np.arange(start, stop)
-        leaf_mask = flat.leaf[start:stop]
+        leaf_mask = plan.leaf[start:stop]
 
         leaves = level[leaf_mask]
         if leaves.size:
@@ -264,11 +264,11 @@ def soar_color_batched(
         # Children c_C .. c_2 take the breadcrumb budgets; the running
         # remainder mirrors the reference's descending-stage walk.
         remaining = budgets.copy()
-        counts = flat.num_children[internal]
+        counts = plan.num_children[internal]
         for stage in range(int(counts.max()), 1, -1):
             active = counts >= stage
             nodes = internal[active]
-            slot = flat.stage_offset[nodes] + (stage - 2)
+            slot = plan.stage_offset[nodes] + (stage - 2)
             l_sel = l_params[active]
             r_sel = remaining[active]
             share = np.where(
@@ -276,12 +276,12 @@ def soar_color_batched(
                 flat.splits_blue[l_sel, r_sel, slot],
                 flat.splits_red[l_sel, r_sel, slot],
             ).astype(np.int64)
-            child = flat.child_concat[flat.child_offset[nodes] + (stage - 1)]
+            child = plan.child_concat[plan.child_offset[nodes] + (stage - 1)]
             budget_vec[child] = share
             dist_vec[child] = child_distance[active]
             remaining[active] -= share
 
-        first = flat.child_concat[flat.child_offset[internal]]
+        first = plan.child_concat[plan.child_offset[internal]]
         budget_vec[first] = remaining - node_blue
         dist_vec[first] = child_distance
 
@@ -289,17 +289,17 @@ def soar_color_batched(
     # budget was written by its parent above, so one pass over the levels
     # below the root is the batched equivalent of the reference's per-child
     # guard.
-    for start, stop in flat.level_slices[1:]:
+    for start, stop in plan.level_slices[1:]:
         window = budget_vec[start:stop]
         if window.size and int(window.min()) < 0:
-            offender = flat.order[start + int(np.argmin(window))]
+            offender = plan.order[start + int(np.argmin(window))]
             raise PlacementError(
                 f"traceback assigned a negative budget to {offender!r}; "
                 "the gather tables are inconsistent"
             )
 
     blue = frozenset(
-        flat.order[position]
+        plan.order[position]
         for position in (np.concatenate(chosen) if chosen else ())
     )
     if len(blue) > budget:

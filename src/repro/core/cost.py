@@ -94,14 +94,14 @@ def flat_link_message_counts(
     all — bit-identity with the reference is decided purely by the final
     weighted reduction.
     """
-    n = len(model.order)
+    n = len(model.plan.order)
     outgoing = np.empty(n, dtype=np.int64)
     incoming = np.zeros(n, dtype=np.int64)
-    for start, stop in reversed(model.level_slices):
+    for start, stop in reversed(model.plan.level_slices):
         arrived = incoming[start:stop] + load[start:stop]
         slab = np.where(blue_mask[start:stop], 1, arrived)
         outgoing[start:stop] = slab
-        targets = model.parent[start:stop]
+        targets = model.plan.parent[start:stop]
         live = targets >= 0
         np.add.at(incoming, targets[live], slab[live])
     return outgoing
@@ -119,14 +119,14 @@ def _flat_contributions(
     if model is None:
         model = cost_model_for(tree)
     load = model.loads_for(tree, loads)
-    blue_mask = np.zeros(len(model.order), dtype=bool)
-    index = model.index
+    blue_mask = np.zeros(len(model.plan.order), dtype=bool)
+    index = model.plan.index
     for node in blue:
         position = index.get(node)
         if position is not None:  # unknown blue ids are ignored, as reference
             blue_mask[position] = True
     counts = flat_link_message_counts(model, blue_mask, load)
-    return model, (counts * model.rho)[model.postorder]
+    return model, (counts * model.plan.rho)[model.plan.postorder]
 
 
 def utilization_cost_flat(
@@ -164,7 +164,7 @@ def per_link_utilization_flat(
     replaced by the level-batched passes.
     """
     model, contributions = _flat_contributions(tree, blue_nodes, loads, validate, model)
-    return dict(zip(model.postorder_nodes, contributions.tolist()))
+    return dict(zip(model.plan.postorder_nodes, contributions.tolist()))
 
 
 def closest_blue_ancestor_distance(

@@ -15,8 +15,15 @@ traversal:
 * internal nodes are processed level by level (deepest first) and the
   ``mCost`` (min,+)-convolution of Algorithm 3 runs batched across *every
   node of a level at once*, vectorizing over ``(l, i, node)`` simultaneously
-  instead of only over ``(l, i)``,
-* the blue/red colour decision is a single tensor comparison at the end.
+  instead of only over ``(l, i)``.
+
+Everything about that traversal which depends on the topology and rates
+alone — node order, depths, path costs, child lists, breadcrumb slots, the
+per-level and per-stage index arrays — is a
+:class:`~repro.core.flat.FlatPlan`, built once per tree structure and
+shared by every ``with_loads`` / ``with_available`` clone.  A gather (or a
+delta repair) therefore only derives the load and Λ vectors, the subtree
+availability counts, and runs the kernels.
 
 The node axis is the contiguous innermost one, so every update in the
 convolution streams over long same-shaped runs — this is where the engine
@@ -34,10 +41,10 @@ The registry holds **three** engines:
     ``tests/test_engine_differential.py``).
 
 ``"compiled"``
-    The same flat orchestration with its three hot blocks — the leaf
-    broadcast, the batched convolution, and the colour decision — swapped
-    for C kernels built on demand from ``_gather_kernels.c`` and called
-    through ``ctypes``, which releases the GIL around every kernel call
+    The same flat orchestration with its two hot blocks — the leaf
+    broadcast and the batched convolution — swapped for C kernels built
+    on demand from ``_gather_kernels.c`` and called through ``ctypes``,
+    which releases the GIL around every kernel call
     (:mod:`repro.core.engine_compiled`).  When no C compiler is available
     (or ``REPRO_NO_COMPILED`` is set) the entry stays registered and
     **falls back to the numpy kernels**: same name, same results, no
@@ -47,37 +54,33 @@ The registry holds **three** engines:
 Per element the arithmetic (and its floating-point evaluation order) is
 identical across all three, including the ascending-``j`` tie-breaking of
 the convolution argmin, so the engines produce **bit-identical** tables,
-costs, and traceback breadcrumbs.  The flat engines materialize their
-output as ordinary :class:`~repro.core.gather.NodeTables` whose arrays are
-views into the flat tensors, so :func:`repro.core.color.soar_color` traces
-the result unchanged.
+costs, and traceback breadcrumbs.  The flat engines hand out ordinary
+:class:`~repro.core.gather.NodeTables` (views into the flat tensors) on
+demand through a read-only :class:`~repro.core.flat.LazyNodeTables`
+mapping, so :func:`repro.core.color.soar_color` traces the result
+unchanged.  The reference engine never touches a plan, which keeps it an
+independent oracle for the differential suite.
 
 Use :func:`gather` to pick an engine by name.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.flat import (
     FlatTables,
+    GatherLevel,
     LazyNodeTables,
     dirty_ancestor_positions,
     dirty_level_groups,
-    flat_order,
-    level_slices_for,
+    plan_for,
 )
-from repro.core.gather import (
-    BLUE,
-    RED,
-    GatherResult,
-    NodeTables,
-    normalize_budget,
-    soar_gather,
-)
+from repro.core.gather import GatherResult, normalize_budget, soar_gather
 from repro.core.tree import TreeNetwork
 from repro.exceptions import RepairError
 
@@ -93,14 +96,12 @@ DEFAULT_ENGINE: str = FLAT_ENGINE
 
 @dataclass(frozen=True)
 class GatherKernels:
-    """The three swappable hot blocks of the flat gather driver.
+    """The two swappable hot blocks of the flat gather driver.
 
     ``combine(previous, child_row, budget, blue, j_max) -> (best, split)``
         The batched ``mCost`` convolution.
     ``leaf_init(x, y_blue, y_red, path_rho, load, leaves, avail, exact_k, k)``
         The leaf-frontier broadcast, writing the three tables in place.
-    ``color_choice(y_blue, y_red) -> uint8 tensor``
-        The elementwise strict ``y_blue < y_red`` decision.
 
     Every implementation must perform the identical per-element IEEE-754
     operations in the identical order — the differential suite holds all
@@ -109,7 +110,18 @@ class GatherKernels:
 
     combine: Callable[..., tuple[np.ndarray, np.ndarray]]
     leaf_init: Callable[..., None]
-    color_choice: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _split_grid(width: int, splits: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """``source[j, i] = i - j``, the ``previous`` column feeding budget
+    column ``i`` at split ``j``, and the mask of invalid ``(j, i)`` cells
+    (``i - j < offset``); read-only, shared by every call."""
+    source = np.arange(width)[None, :] - np.arange(splits)[:, None]
+    invalid = source < offset
+    source = np.where(invalid, 0, source)
+    source.flags.writeable = invalid.flags.writeable = False
+    return source, invalid
 
 
 def _combine_small_batch(
@@ -125,9 +137,10 @@ def _combine_small_batch(
     dispatches per ``j``; on the big level slabs of a cold gather that
     overhead amortizes over hundreds of node columns, but the delta-repair
     path calls the kernel with a handful of dirty nodes per level, where
-    dispatch dominates the arithmetic.  This variant materializes every
-    candidate split in one ``(J, H, k + 1, B)`` stack (invalid cells
-    ``+inf``) and reduces with a single min/argmin pair.
+    dispatch dominates the arithmetic.  This variant gathers every
+    candidate split into one ``(H, J, k + 1, B)`` stack with a single
+    fancy index (invalid cells ``+inf``) and reduces with one min/argmin
+    pair.
 
     Bit-identity with the sequential loop: every candidate value is the
     same ``np.add`` of the same operands; the one-shot minimum of a
@@ -137,24 +150,13 @@ def _combine_small_batch(
     smallest-split strict-improvement tie-break, including split 0 for
     all-``inf`` columns.
     """
-    height, width, batch = previous.shape[0], budget + 1, previous.shape[2]
     if j_max is None:
         j_max = budget
-    offset = 1 if blue else 0  # a blue parent keeps one unit for itself
     splits = min(budget, j_max) + 1
-    stacked = np.full((splits, height, width, batch), np.inf, dtype=np.float64)
-    for j in range(splits):
-        start = j + offset
-        if start > budget:
-            break
-        np.add(
-            previous[:, offset : width - j],
-            child_row[:, j : j + 1],
-            out=stacked[j, :, start:],
-        )
-    best = stacked.min(axis=0)
-    best_split = stacked.argmin(axis=0).astype(np.int32)
-    return best, best_split
+    source, invalid = _split_grid(budget + 1, splits, 1 if blue else 0)
+    stacked = previous[:, source] + child_row[:, :splits, None, :]
+    stacked[:, invalid] = np.inf
+    return stacked.min(axis=1), stacked.argmin(axis=1).astype(np.int32)
 
 
 def _batched_combine(
@@ -266,20 +268,9 @@ def _leaf_init_numpy(
     )
 
 
-def _color_choice_numpy(y_blue: np.ndarray, y_red: np.ndarray) -> np.ndarray:
-    """The blue/red decision tensor: strict ``y_blue < y_red`` as uint8."""
-    # BLUE == 1 == True and RED == 0 == False, so the boolean comparison
-    # reinterpreted as uint8 is exactly the choice table.
-    return np.less(y_blue, y_red).view(np.uint8)
-
-
 #: The pure-numpy kernel set of the ``"flat"`` engine (and the fallback of
 #: the ``"compiled"`` one).
-NUMPY_KERNELS = GatherKernels(
-    combine=_batched_combine,
-    leaf_init=_leaf_init_numpy,
-    color_choice=_color_choice_numpy,
-)
+NUMPY_KERNELS = GatherKernels(combine=_batched_combine, leaf_init=_leaf_init_numpy)
 
 
 def subtree_available_counts(
@@ -290,108 +281,44 @@ def subtree_available_counts(
 ) -> np.ndarray:
     """``|Λ ∩ T_v|`` for every node, in the flat node order.
 
-    Accumulated child -> parent level by level, walking every level down
-    to 1 with nodes whose parent is the destination (``parent == -1``)
-    masked out: an unguarded walk would wrap the destination's ``-1``
-    onto the *last* flat-order position — the root, in the canonical
-    deepest-level-first order — and silently double its count.  The
-    convolution cap only ever reads non-root entries (the root is never a
-    convolution child), but kernels that reuse this array — the compiled
-    backend, subtree diagnostics — rely on every entry being the true
-    count, the root's being exactly ``|Λ|``.
+    Accumulated child -> parent one level slab at a time, deepest first
+    (``depth`` is sorted descending).  The root's slab is never scattered:
+    its parent is the destination (``-1``), which would wrap onto the
+    *last* flat position — the root itself — and double its count.  The
+    convolution cap only reads non-root entries, but kernels that reuse
+    this array rely on every entry being the true count, the root's
+    exactly ``|Λ|``.
     """
     counts = avail.astype(np.int64)
-    for level in range(height, 0, -1):
-        members = np.nonzero(depth == level)[0]
-        targets = parent[members]
-        in_tree = targets >= 0
-        if in_tree.any():
-            np.add.at(counts, targets[in_tree], counts[members[in_tree]])
+    bounds = np.searchsorted(-depth, -np.arange(height + 2), side="right")  # nodes at depth >= d
+    for level in range(height, 1, -1):
+        start, stop = bounds[level + 1], bounds[level]
+        np.add.at(counts, parent[start:stop], counts[start:stop])
     return counts
 
 
-def _gather_flat_tensors(
-    tree: TreeNetwork,
-    budget: int,
-    exact_k: bool,
+def _gather_levels(
+    levels: Iterable[GatherLevel],
     kernels: GatherKernels,
-    engine: str,
-) -> GatherResult:
-    """The shared flat-tensor gather driver, parameterized by kernel set."""
-    k = normalize_budget(tree, budget)
-    n = tree.num_switches
-    height = tree.height
-    width = k + 1
-    # Node axis of the flat tensors: the canonical deepest-level-first
-    # order of repro.core.flat.  Every level is then a contiguous slab, so
-    # the child gathers and table writes of the level-batched loop stay
-    # cache-local; children still precede parents, as the DP requires.
-    order = flat_order(tree)
-    index = {node: i for i, node in enumerate(order)}
+    k: int,
+    load: np.ndarray,
+    avail: np.ndarray,
+    subtree_avail: np.ndarray,
+    x_flat: np.ndarray,
+    flat: FlatTables,
+) -> None:
+    """Run the level-batched DP over internal-node ``levels`` (deepest first),
+    writing ``x_flat`` and the ``y`` / breadcrumb tensors of ``flat`` in place.
 
-    depth = np.fromiter((tree.depth(v) for v in order), dtype=np.int64, count=n)
-    load = np.fromiter((tree.load(v) for v in order), dtype=np.float64, count=n)
-    rho = np.fromiter((tree.rho(v) for v in order), dtype=np.float64, count=n)
-    avail = np.fromiter((v in tree.available for v in order), dtype=bool, count=n)
-    parent = np.fromiter(
-        (index.get(tree.parent(v), -1) for v in order), dtype=np.int64, count=n
-    )
-    children_idx: list[np.ndarray] = [
-        np.fromiter((index[c] for c in tree.children(v)), dtype=np.int64)
-        for v in order
-    ]
-
-    # P[l, v] = rho(v, A^l_v), accumulated bottom-up exactly like
-    # TreeNetwork.path_rho_prefix (same summation order, hence the same
-    # floating-point values).  Rows l > D(v) are never read.
-    path_rho = np.zeros((height + 1, n), dtype=np.float64)
-    ancestor = np.arange(n)
-    for level in range(1, height + 1):
-        live = depth >= level
-        path_rho[level, live] = path_rho[level - 1, live] + rho[ancestor[live]]
-        ancestor[live] = parent[ancestor[live]]
-
-    # The flat tables.  Entries at rows l > D(v) are uninitialized and are
-    # neither read by parents (a parent at depth d reads child rows
-    # 1 .. d + 1 <= D(child) + 1) nor exposed through the NodeTables views;
-    # the infinities the DP relies on are written explicitly below.
-    x_flat = np.empty((height + 1, width, n), dtype=np.float64)
-    y_blue_flat = np.empty((height + 1, width, n), dtype=np.float64)
-    y_red_flat = np.empty((height + 1, width, n), dtype=np.float64)
-
-    # Split breadcrumbs: node v with C(v) children owns C(v) - 1 stage slots.
-    stage_counts = np.array([max(0, len(c) - 1) for c in children_idx], dtype=np.int64)
-    stage_offset = np.concatenate(([0], np.cumsum(stage_counts)[:-1]))
-    total_stages = int(stage_counts.sum())
-    splits_red_flat = np.zeros((height + 1, width, total_stages), dtype=np.int32)
-    splits_blue_flat = np.zeros((height + 1, width, total_stages), dtype=np.int32)
-
-    # ---- leaves: one broadcast for the whole frontier ---------------------
-    leaf_rows = np.fromiter((len(c) == 0 for c in children_idx), dtype=bool, count=n)
-    leaves = np.nonzero(leaf_rows)[0]
-    if leaves.size:
-        kernels.leaf_init(
-            x_flat, y_blue_flat, y_red_flat, path_rho, load, leaves, avail, exact_k, k
-        )
-
-    # |Λ ∩ T_v| for every node; it caps the convolution split range (see
-    # _batched_combine).
-    subtree_avail = subtree_available_counts(depth, parent, avail, height)
-
-    # ---- internal nodes, level-batched from the deepest level up ----------
-    internal_by_depth: dict[int, list[int]] = {}
-    for i in np.nonzero(~leaf_rows)[0]:
-        internal_by_depth.setdefault(int(depth[i]), []).append(int(i))
-
-    for level in sorted(internal_by_depth, reverse=True):
-        group = np.asarray(internal_by_depth[level], dtype=np.int64)
-        rows = level + 1  # parameters l = 0 .. D(v)
-        num_children = np.array([len(children_idx[i]) for i in group])
-        upward = path_rho[:rows, group]  # (rows, B)
+    Children are final before any parent level is touched, so every child
+    read sees the value a cold gather would.  ``subtree_avail`` (``|Λ ∩
+    T_v|`` per node) caps each convolution's split range (see
+    :func:`_batched_combine`).
+    """
+    for group, rows, upward, first_child, stages in levels:
         can_blue = avail[group] & (k >= 1)
 
         # stage m = 1
-        first_child = np.array([children_idx[i][0] for i in group])
         y_red = x_flat[1 : rows + 1, :, first_child] + (
             upward * load[group]
         )[:, None, :]
@@ -406,14 +333,7 @@ def _gather_flat_tensors(
 
         # stages m = 2 .. C(v): batched convolution over every node of the
         # level that still has an m-th child.
-        for stage in range(2, int(num_children.max(initial=1)) + 1):
-            active = np.nonzero(num_children >= stage)[0]
-            if not active.size:
-                break
-            nodes = group[active]
-            child = np.array([children_idx[i][stage - 1] for i in nodes])
-            slots = stage_offset[nodes] + (stage - 2)
-
+        for active, _, child, slots in stages:
             j_cap = int(subtree_avail[child].max())
 
             child_red = x_flat[1 : rows + 1, :, child]
@@ -421,8 +341,11 @@ def _gather_flat_tensors(
                 y_red[:, :, active], child_red, k, blue=False, j_max=j_cap
             )
             y_red[:, :, active] = merged_red
-            splits_red_flat[:rows, :, slots] = split_red
+            flat.splits_red[:rows, :, slots] = split_red
 
+            # Nodes that cannot be blue keep all-zero blue breadcrumbs (a
+            # repaired node may have been blue-capable before).
+            flat.splits_blue[:rows, :, slots] = 0
             blue_active = np.nonzero(can_blue[active])[0]
             if blue_active.size:
                 child_blue = x_flat[1][:, child[blue_active]][None, :, :]
@@ -430,59 +353,54 @@ def _gather_flat_tensors(
                     y_blue[:, :, active[blue_active]], child_blue, k, blue=True, j_max=j_cap
                 )
                 y_blue[:, :, active[blue_active]] = merged_blue
-                splits_blue_flat[:rows, :, slots[blue_active]] = split_blue
+                flat.splits_blue[:rows, :, slots[blue_active]] = split_blue
 
         x_flat[:rows, :, group] = np.minimum(y_blue, y_red)
-        y_red_flat[:rows, :, group] = y_red
-        y_blue_flat[:rows, :, group] = y_blue
+        flat.y_red[:rows, :, group] = y_red
+        flat.y_blue[:rows, :, group] = y_blue
 
-    choice_flat = kernels.color_choice(y_blue_flat, y_red_flat)
 
-    # ---- materialize the reference breadcrumb format as views -------------
-    tables: dict = {}
-    for i, node in enumerate(order):
-        rows = int(depth[i]) + 1
-        stages = int(stage_counts[i])
-        base = int(stage_offset[i])
-        tables[node] = NodeTables(
-            x=x_flat[:rows, :, i],
-            y_blue=y_blue_flat[:rows, :, i],
-            y_red=y_red_flat[:rows, :, i],
-            choice=choice_flat[:rows, :, i],
-            splits_blue=[splits_blue_flat[:rows, :, base + s] for s in range(stages)],
-            splits_red=[splits_red_flat[:rows, :, base + s] for s in range(stages)],
-        )
-
-    num_children = np.fromiter(
-        (len(c) for c in children_idx), dtype=np.int64, count=n
-    )
-    # The per-node arrays double as the FlatTables metadata; the layout
-    # matches repro.core.flat.build_metadata field for field.
+def _gather_flat_tensors(
+    tree: TreeNetwork,
+    budget: int,
+    exact_k: bool,
+    kernels: GatherKernels,
+    engine: str,
+) -> GatherResult:
+    """The shared flat-tensor gather driver, parameterized by kernel set."""
+    k = normalize_budget(tree, budget)
+    # Node axis of the flat tensors: the canonical deepest-level-first
+    # order of the structure's plan.  Every level is then a contiguous
+    # slab, so the child gathers and table writes of the level-batched
+    # loop stay cache-local; children still precede parents.
+    plan = plan_for(tree)
+    shape = (plan.height + 1, k + 1, len(plan.order))
+    stages_shape = (plan.height + 1, k + 1, plan.total_stages)
+    load = plan.tree_loads(tree)
+    avail = plan.avail_vector(tree.available)
+    # Entries at rows l > D(v) are uninitialized and are never read (a
+    # parent at depth d reads child rows 1 .. d + 1 <= D(child) + 1); the
+    # infinities the DP relies on are written explicitly.
+    x_flat = np.empty(shape, dtype=np.float64)
     flat = FlatTables(
         tree=tree,
-        order=tuple(order),
-        index=index,
-        depth=depth,
-        load=load.astype(np.int64),
+        plan=plan,
+        load=load,
         avail=avail,
-        leaf=leaf_rows,
-        num_children=num_children,
-        child_concat=(
-            np.concatenate(children_idx)
-            if children_idx
-            else np.empty(0, dtype=np.int64)
-        ),
-        child_offset=np.concatenate(([0], np.cumsum(num_children)[:-1])),
-        stage_offset=stage_offset,
-        level_slices=level_slices_for(depth, height),
-        y_blue=y_blue_flat,
-        y_red=y_red_flat,
-        splits_blue=splits_blue_flat,
-        splits_red=splits_red_flat,
+        y_blue=np.empty(shape, dtype=np.float64),
+        y_red=np.empty(shape, dtype=np.float64),
+        splits_blue=np.zeros(stages_shape, dtype=np.int32),
+        splits_red=np.zeros(stages_shape, dtype=np.int32),
     )
-
+    load_f = load.astype(np.float64)
+    if plan.leaves.size:  # the whole leaf frontier in one broadcast
+        kernels.leaf_init(
+            x_flat, flat.y_blue, flat.y_red, plan.path_rho, load_f, plan.leaves, avail, exact_k, k
+        )
+    subtree_avail = subtree_available_counts(plan.depth, plan.parent, avail, plan.height)
+    _gather_levels(plan.levels, kernels, k, load_f, avail, subtree_avail, x_flat, flat)
     return GatherResult(
-        tables=tables,
+        tables=LazyNodeTables(flat),
         root=tree.root,
         budget=k,
         requested_budget=int(budget),
@@ -526,25 +444,19 @@ def _repair_flat_tensors(
 
     Bit-identity with a cold gather is preserved end to end:
 
-    * dirty columns are recomputed with the *same kernels* in the same
-      level order, reading child ``x`` rows as ``min(y_red, y_blue)`` —
-      exactly the values the cold driver materialized in its ``x`` tensor
-      (every valid entry was written as that minimum, and the inputs are
-      NaN-free and sign-consistent, so the minimum is bitwise unique);
-    * the convolution runs uncapped (no ``j_max``), which the kernel
-      contract guarantees is bit-identical to the subtree-availability
-      capped run, argmin included (see :func:`_batched_combine`);
-    * ``path_rho`` for dirty columns is rebuilt from
-      ``TreeNetwork.path_rho_prefix`` — the accumulation the cold driver's
-      level walk reproduces value for value;
+    * dirty columns are recomputed by the cold driver's own level routine
+      (:func:`_gather_levels`) with the same kernels, the same split caps
+      and the same plan, in the same level order, reading clean children's
+      ``x`` as ``min(y_red, y_blue)`` — exactly the values the cold driver
+      wrote (inputs are NaN-free and sign-consistent, so the minimum is
+      bitwise unique);
     * stale blue breadcrumbs of dirty nodes are re-zeroed before the blue
       convolution writes, matching the cold driver's zero-initialized
       split tensors for nodes that can no longer be blue.
 
-    Clean columns keep their cloned values untouched, rows beyond a
+    Clean columns keep their cloned values untouched, and rows beyond a
     node's depth stay unspecified (never read) exactly as in a cold
-    gather, and the repaired result carries :class:`LazyNodeTables` so no
-    per-node view materialization is paid up front.
+    gather.
 
     Raises :class:`~repro.exceptions.RepairError` when repair is unsound:
     no flat tensors, different structure or loads, or a changed effective
@@ -572,145 +484,48 @@ def _repair_flat_tensors(
             "the cached tables no longer matches"
         )
 
-    order = old_flat.order
-    index = old_flat.index
-    depth = old_flat.depth
-    leaf = old_flat.leaf
-    child_concat = old_flat.child_concat
-    child_offset = old_flat.child_offset
-    stage_offset = old_flat.stage_offset
-    n = len(order)
-    height = tree.height
-    width = k + 1
-    load = old_flat.load.astype(np.float64)
-
+    plan = old_flat.plan
     delta = old_tree.available ^ tree.available
-    dirty = dirty_ancestor_positions(tree, index, delta)
-
+    dirty = dirty_ancestor_positions(tree, plan.index, delta)
     avail = old_flat.avail.copy()
     for switch in delta:
-        avail[index[switch]] = switch in tree.available
+        avail[plan.index[switch]] = switch in tree.available
 
     # Copy-on-write clone: the repaired result must not mutate the cached
     # tensors (the cache may repair the same artifact towards several Λ's).
-    y_blue_flat = old_flat.y_blue.copy()
-    y_red_flat = old_flat.y_red.copy()
-    splits_blue_flat = old_flat.splits_blue.copy()
-    splits_red_flat = old_flat.splits_red.copy()
+    new_flat = replace(
+        old_flat,
+        tree=tree,
+        avail=avail,
+        y_blue=old_flat.y_blue.copy(),
+        y_red=old_flat.y_red.copy(),
+        splits_blue=old_flat.splits_blue.copy(),
+        splits_red=old_flat.splits_red.copy(),
+        cost_model=None,
+    )
+    load = old_flat.load.astype(np.float64)
+    # Tables keep no x tensor; every valid entry was written as this minimum.
+    x_flat = np.minimum(new_flat.y_red, new_flat.y_blue)
 
-    # rho(v, A^l_v) for the dirty columns only; rows beyond a node's depth
-    # stay 0.0, exactly like the cold driver's level walk leaves them.
-    path_rho = np.zeros((height + 1, n), dtype=np.float64)
-    for position in dirty.tolist():
-        prefix = tree.path_rho_prefix(order[position])
-        path_rho[: len(prefix), position] = prefix
-
-    # ---- dirty leaves: the same frontier broadcast, restricted ------------
-    dirty_leaves = dirty[leaf[dirty]]
+    dirty_leaves = dirty[plan.leaf[dirty]]
     if dirty_leaves.size:
-        # The driver's x tensor is never kept by repairs (child x rows are
-        # re-derived as min(y_red, y_blue) below); leaf_init still writes
-        # one, so hand it a scratch tensor that is dropped afterwards.
-        x_scratch = np.empty((height + 1, width, n), dtype=np.float64)
         kernels.leaf_init(
-            x_scratch,
-            y_blue_flat,
-            y_red_flat,
-            path_rho,
+            x_flat,
+            new_flat.y_blue,
+            new_flat.y_red,
+            plan.path_rho,
             load,
             dirty_leaves,
             avail,
             result.exact_k,
             k,
         )
-
-    # ---- dirty internal nodes, level-batched from the deepest level up ----
-    dirty_internal = dirty[~leaf[dirty]]
-    for level, group in dirty_level_groups(depth, dirty_internal):
-        rows = level + 1
-        num_children = old_flat.num_children[group]
-        upward = path_rho[:rows, group]
-        can_blue = avail[group] & (k >= 1)
-
-        # Children live one level deeper and were finalized before this
-        # level (dirty or clean alike), so their x rows are the minimum of
-        # the y tensors as they stand now.
-        x_row1 = np.minimum(y_red_flat[1], y_blue_flat[1])
-
-        # stage m = 1
-        first_child = child_concat[child_offset[group]]
-        child_x = np.minimum(
-            y_red_flat[1 : rows + 1, :, first_child],
-            y_blue_flat[1 : rows + 1, :, first_child],
-        )
-        y_red = child_x + (upward * load[group])[:, None, :]
-        y_blue = np.full_like(y_red, np.inf)
-        if can_blue.any():  # can_blue already folds in k >= 1
-            sel = np.nonzero(can_blue)[0]
-            y_blue[:, 1:, sel] = (
-                x_row1[:k, first_child[sel]][None, :, :] + upward[:, sel][:, None, :]
-            )
-
-        # stages m = 2 .. C(v)
-        for stage in range(2, int(num_children.max(initial=1)) + 1):
-            active = np.nonzero(num_children >= stage)[0]
-            if not active.size:
-                break
-            nodes = group[active]
-            child = child_concat[child_offset[nodes] + (stage - 1)]
-            slots = stage_offset[nodes] + (stage - 2)
-
-            child_red = np.minimum(
-                y_red_flat[1 : rows + 1, :, child],
-                y_blue_flat[1 : rows + 1, :, child],
-            )
-            merged_red, split_red = kernels.combine(
-                y_red[:, :, active], child_red, k, blue=False
-            )
-            y_red[:, :, active] = merged_red
-            splits_red_flat[:rows, :, slots] = split_red
-
-            # A dirty node that could be blue at Λ₀ but cannot any more
-            # would otherwise keep its stale breadcrumbs; the cold driver
-            # leaves such slots zero-initialized.
-            splits_blue_flat[:rows, :, slots] = 0
-            blue_active = np.nonzero(can_blue[active])[0]
-            if blue_active.size:
-                child_blue = x_row1[:, child[blue_active]][None, :, :]
-                merged_blue, split_blue = kernels.combine(
-                    y_blue[:, :, active[blue_active]], child_blue, k, blue=True
-                )
-                y_blue[:, :, active[blue_active]] = merged_blue
-                splits_blue_flat[:rows, :, slots[blue_active]] = split_blue
-
-        y_red_flat[:rows, :, group] = y_red
-        y_blue_flat[:rows, :, group] = y_blue
-
-    new_flat = FlatTables(
-        tree=tree,
-        order=order,
-        index=index,
-        depth=depth,
-        load=old_flat.load,
-        avail=avail,
-        leaf=leaf,
-        num_children=old_flat.num_children,
-        child_concat=child_concat,
-        child_offset=child_offset,
-        stage_offset=stage_offset,
-        level_slices=old_flat.level_slices,
-        y_blue=y_blue_flat,
-        y_red=y_red_flat,
-        splits_blue=splits_blue_flat,
-        splits_red=splits_red_flat,
+    levels = (
+        plan.level(group, level + 1)
+        for level, group in dirty_level_groups(plan.depth, dirty[~plan.leaf[dirty]])
     )
-    old_model = old_flat.cost_model
-    if old_model is not None:
-        # The cost model depends on structure, rates, and loads only — all
-        # unchanged by construction — so the repaired artifact inherits it
-        # (rebased onto the new tree) and its first placement skips the
-        # O(n) model build.
-        new_flat.cost_model = replace(old_model, tree=tree)
+    subtree_avail = subtree_available_counts(plan.depth, plan.parent, avail, plan.height)
+    _gather_levels(levels, kernels, k, load, avail, subtree_avail, x_flat, new_flat)
 
     return GatherResult(
         tables=LazyNodeTables(new_flat),
@@ -720,7 +535,6 @@ def _repair_flat_tensors(
         exact_k=result.exact_k,
         engine=engine,
         flat=new_flat,
-        cost_model=new_flat.cost_model,
     )
 
 

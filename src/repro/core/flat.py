@@ -3,43 +3,57 @@
 The flat gather engine of :mod:`repro.core.engine` computes the SOAR dynamic
 program directly on contiguous ``(l, i, node)`` tensors; the level-batched
 colour kernel of :mod:`repro.core.color` traces placements out of the very
-same layout.  :class:`FlatTables` is that layout made explicit: the tensors
-plus the index metadata (node order, per-level slabs, ragged child lists,
-breadcrumb slots) a batched traversal needs.
+same layout.  Two objects make that layout explicit:
+
+:class:`FlatPlan`
+    Everything about the layout that depends on the *topology and rates*
+    alone: node order and index, depths, parents, per-link ``rho``, the
+    path-cost table ``rho(v, A^l_v)``, ragged child lists, breadcrumb
+    slots, level slabs, the per-level and per-stage index arrays of the
+    level-batched gather, and the post-order permutation of the cost
+    kernel.  One plan is built per tree structure, on first use
+    (:func:`plan_for`), and stored on the
+    :class:`~repro.core.tree.TreeStructure` that every
+    ``with_loads`` / ``with_available`` clone shares — so the per-request
+    work of a gather is the load and Λ vectors plus the kernels, not the
+    O(n) Python bookkeeping.  Plans are immutable (their arrays are
+    read-only).
+:class:`FlatTables`
+    One gather's tensors plus the two per-instance vectors (loads and Λ in
+    flat order) on top of the plan.
 
 Results produced by the flat engine carry their :class:`FlatTables`
-zero-copy (the per-node :class:`~repro.core.gather.NodeTables` are views
-into the same memory).  Results produced by the per-node reference engine
-do not; :func:`flat_tables_for` stacks them into the flat layout on first
-use and caches the outcome on the result, so the batched colour kernel
-works identically on both engines' tables — which is exactly what the
-differential tests exploit.
+zero-copy and hand out per-node :class:`~repro.core.gather.NodeTables`
+lazily (:class:`LazyNodeTables`).  Results produced by the per-node
+reference engine do not; :func:`flat_tables_for` stacks them into the flat
+layout on first use and caches the outcome on the result, so the batched
+colour kernel works identically on both engines' tables — which is exactly
+what the differential tests exploit.
 
-The cost phase shares the layout too: :class:`FlatCostModel` is the
-structural slice of the metadata (node order, parent pointers, per-link
-``rho``, level slabs, the post-order permutation) that the flat cost
-kernel of :mod:`repro.core.cost` batches Eq. (1) over.  A model depends
-only on the *topology and rates* — loads and Λ are call-time inputs — so
-one model serves every same-structure workload network, and a
-:class:`~repro.core.solver.GatherTable` derives its model from the trace
-metadata it already carries (:func:`cost_model_for`), which is why a warm
-table hit never rebuilds the per-link message-count dicts.
+The cost phase shares the plan too: :class:`FlatCostModel` is a plan plus
+a load vector, which the flat cost kernel of :mod:`repro.core.cost`
+batches Eq. (1) over.  Loads and Λ are call-time inputs, so one model
+serves every same-structure workload network, and a
+:class:`~repro.core.solver.GatherTable` derives its model from the flat
+tables it already carries (:func:`cost_model_for`).
 
 Node order
 ----------
-Nodes are laid out deepest level first (stable within a level), matching
-the flat engine: every level is then one contiguous slab, recorded in
-``level_slices``, so both the bottom-up gather and the top-down colour
-trace touch contiguous runs.  The children of all nodes are concatenated
-into one ragged array (``child_concat`` + ``child_offset``), keeping the
-per-stage scatter of the colour traceback a single fancy-indexed gather
-even on trees with wildly varying fan-out.
+Nodes are laid out deepest level first (stable within a level): every
+level is then one contiguous slab, recorded in ``level_slices``, so both
+the bottom-up gather and the top-down colour trace touch contiguous runs.
+The children of all nodes are concatenated into one ragged array
+(``child_concat`` + ``child_offset``), keeping the per-stage scatter of the
+colour traceback a single fancy-indexed gather even on trees with wildly
+varying fan-out.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +62,210 @@ from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import RepairError
 
 
+class GatherStage(NamedTuple):
+    """Index arrays of one convolution stage ``m >= 2`` of a gather level:
+    the level's nodes with an ``m``-th child (``active`` indexes the
+    level's ``group``, ``nodes`` are flat positions), those children, and
+    the breadcrumb slots the stage writes."""
+
+    active: np.ndarray
+    nodes: np.ndarray
+    child: np.ndarray
+    slots: np.ndarray
+
+
+class GatherLevel(NamedTuple):
+    """Same-depth internal nodes (``group``, flat positions ascending) with
+    ``rows = depth + 1``, ``upward[l] = rho(v, A^l_v)``, their first
+    children, and the index arrays of every later convolution stage."""
+
+    group: np.ndarray
+    rows: int
+    upward: np.ndarray
+    first_child: np.ndarray
+    stages: tuple[GatherStage, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class FlatPlan:
+    """The structure-only half of the flat layout, built once per structure.
+
+    Attributes
+    ----------
+    order, index:
+        Nodes in flat order (deepest level first, stable within a level)
+        and its inverse; position ``p`` of every array refers to
+        ``order[p]``.
+    depth, parent, rho:
+        Per-node depth, parent position (``-1`` for the root, whose parent
+        is the destination), and ``rho((v, p(v)))``.
+    path_rho:
+        ``path_rho[l, p] = rho(v, A^l_v)`` for ``l <= D(v)`` (0 beyond),
+        shape ``(height + 1, n)``, accumulated in the same order as
+        :meth:`~repro.core.tree.TreeNetwork.path_rho_prefix`.
+    num_children, child_concat, child_offset:
+        Ragged child lists: the children of position ``p`` are
+        ``child_concat[child_offset[p] : child_offset[p] + num_children[p]]``
+        (as flat positions), in the tree's child order.
+    stage_offset, total_stages:
+        A node with ``C`` children owns breadcrumb slots
+        ``stage_offset[p] .. + C - 2`` of the split tensors.
+    leaf, leaves:
+        Leaf mask and the leaf positions.
+    level_slices:
+        ``level_slices[d - 1]`` is the ``(start, stop)`` slab of the nodes
+        at depth ``d`` (the root's level is first).
+    postorder, postorder_nodes:
+        ``order[postorder[i]]`` is ``tree.switches[i]`` (also kept as
+        ``postorder_nodes``), so the cost kernel can reproduce the
+        reference summation order bit for bit.
+    levels:
+        The internal nodes level by level, deepest first, as
+        :class:`GatherLevel` records (built on first use).
+    """
+
+    order: tuple[NodeId, ...]
+    index: dict[NodeId, int]
+    height: int
+    depth: np.ndarray
+    parent: np.ndarray
+    rho: np.ndarray
+    path_rho: np.ndarray
+    num_children: np.ndarray
+    child_concat: np.ndarray
+    child_offset: np.ndarray
+    stage_offset: np.ndarray
+    total_stages: int
+    leaf: np.ndarray
+    leaves: np.ndarray
+    level_slices: tuple[tuple[int, int], ...]
+    postorder: np.ndarray
+    postorder_nodes: tuple[NodeId, ...]
+
+    @classmethod
+    def build(cls, tree: TreeNetwork) -> "FlatPlan":
+        """Derive the plan of ``tree``'s structure (loads and Λ are ignored)."""
+        order = tuple(flat_order(tree))
+        n, height = len(order), tree.height
+        index = {node: position for position, node in enumerate(order)}
+        depth = np.fromiter(map(tree.depth, order), dtype=np.int64, count=n)
+        rho = np.fromiter(map(tree.rho, order), dtype=np.float64, count=n)
+        parent = np.fromiter(
+            (index.get(tree.parent(v), -1) for v in order), dtype=np.int64, count=n
+        )
+        num_children = np.fromiter(map(tree.num_children, order), dtype=np.int64, count=n)
+        child_concat = np.fromiter(
+            (index[c] for v in order for c in tree.children(v)),
+            dtype=np.int64,
+            count=int(num_children.sum()),
+        )
+        stage_counts = np.maximum(num_children - 1, 0)
+
+        # P[l, v] = rho(v, A^l_v), one ancestor step per level.
+        path_rho = np.zeros((height + 1, n), dtype=np.float64)
+        ancestor = np.arange(n)
+        for level in range(1, height + 1):
+            live = depth >= level
+            path_rho[level, live] = path_rho[level - 1, live] + rho[ancestor[live]]
+            ancestor[live] = parent[ancestor[live]]
+
+        # bounds[d] = number of nodes at depth >= d (depth is sorted descending).
+        bounds = np.searchsorted(-depth, -np.arange(height + 2), side="right")
+        plan = cls(
+            order=order,
+            index=index,
+            height=height,
+            depth=depth,
+            parent=parent,
+            rho=rho,
+            path_rho=path_rho,
+            num_children=num_children,
+            child_concat=child_concat,
+            child_offset=np.concatenate(([0], np.cumsum(num_children)[:-1])).astype(np.int64),
+            stage_offset=np.concatenate(([0], np.cumsum(stage_counts)[:-1])).astype(np.int64),
+            total_stages=int(stage_counts.sum()),
+            leaf=num_children == 0,
+            leaves=np.nonzero(num_children == 0)[0],
+            level_slices=tuple((int(bounds[d + 1]), int(bounds[d])) for d in range(1, height + 1)),
+            postorder=np.fromiter(map(index.__getitem__, tree.switches), dtype=np.int64, count=n),
+            postorder_nodes=tree.switches,
+        )
+        for value in vars(plan).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return plan
+
+    def level(self, group: np.ndarray, rows: int) -> GatherLevel:
+        """The :class:`GatherLevel` of ``group``: internal nodes at depth ``rows - 1``."""
+        counts = self.num_children[group]
+        stages = []
+        for stage in range(2, int(counts.max()) + 1):
+            active = np.nonzero(counts >= stage)[0]
+            nodes = group[active]
+            stages.append(
+                GatherStage(
+                    active=active,
+                    nodes=nodes,
+                    child=self.child_concat[self.child_offset[nodes] + (stage - 1)],
+                    slots=self.stage_offset[nodes] + (stage - 2),
+                )
+            )
+        return GatherLevel(
+            group=group,
+            rows=rows,
+            upward=self.path_rho[:rows, group],
+            first_child=self.child_concat[self.child_offset[group]],
+            stages=tuple(stages),
+        )
+
+    @cached_property
+    def levels(self) -> tuple[GatherLevel, ...]:
+        groups = [(np.nonzero(~self.leaf & (self.depth == d))[0], d) for d in range(self.height, 0, -1)]
+        return tuple(self.level(group, d + 1) for group, d in groups if group.size)
+
+    def load_vector(self, loads: Mapping[NodeId, int]) -> np.ndarray:
+        """A flat-order int64 load array for a load mapping.
+
+        Mirrors the reference kernels' ``loads.get(switch, 0)`` contract:
+        switches absent from the mapping carry load 0 and keys that are
+        not switches of the network are ignored.
+        """
+        vector = np.zeros(len(self.order), dtype=np.int64)
+        index = self.index
+        for node, value in loads.items():
+            position = index.get(node)
+            if position is not None:
+                vector[position] = int(value)
+        return vector
+
+    def tree_loads(self, tree: TreeNetwork) -> np.ndarray:
+        """``tree``'s full load function as a flat-order int64 array."""
+        loads = tree.loads
+        return np.fromiter(map(loads.__getitem__, self.order), dtype=np.int64, count=len(self.order))
+
+    def avail_vector(self, available: frozenset[NodeId]) -> np.ndarray:
+        """Λ as a flat-order boolean mask."""
+        return np.fromiter(map(available.__contains__, self.order), dtype=bool, count=len(self.order))
+
+
+def plan_for(tree: TreeNetwork) -> FlatPlan:
+    """The :class:`FlatPlan` of ``tree``'s structure, built on first use.
+
+    Stored on the shared :class:`~repro.core.tree.TreeStructure`, so every
+    clone derived by ``with_loads`` / ``with_available`` reuses it.  Two
+    threads racing on the first build both produce equal plans; either
+    may win the store.
+    """
+    structure = tree.structure
+    plan = structure.plan
+    if plan is None:
+        plan = structure.plan = FlatPlan.build(tree)
+    return plan
+
+
 @dataclass
 class FlatTables:
-    """Flat ``(l, i, node)`` tensors plus the traversal metadata.
+    """Flat ``(l, i, node)`` tensors of one gather on top of its plan.
 
     Attributes
     ----------
@@ -60,44 +275,24 @@ class FlatTables:
         Consumers tracing for a *different* (same-structure) network must
         re-derive those two arrays from their own tree (the colour kernel
         does; see :func:`repro.core.color.soar_color_batched`).
-    order:
-        Nodes in flat order (deepest level first, stable within a level);
-        position ``p`` of every other array refers to ``order[p]``.
-    index:
-        Inverse of ``order``: node id -> flat position.
-    depth, load, avail, leaf, num_children:
-        Per-node scalars in flat order.
-    child_concat, child_offset:
-        Ragged child lists: the children of the node at position ``p`` are
-        ``child_concat[child_offset[p] : child_offset[p] + num_children[p]]``
-        (as flat positions), in the tree's child order.
-    stage_offset:
-        Position ``p``'s first breadcrumb slot in the split tensors; a node
-        with ``C`` children owns slots ``stage_offset[p] .. + C - 2``.
-    level_slices:
-        ``level_slices[d - 1]`` is the ``(start, stop)`` slab of the nodes
-        at depth ``d`` (1-based; the root's level is first).
+    plan:
+        The structure's :class:`FlatPlan` (node order, index, child lists,
+        breadcrumb slots, level slabs).
+    load, avail:
+        The gathered instance's loads (int64) and Λ mask in flat order.
     y_blue, y_red:
         The final-stage colour-decision tables, shape
-        ``(height + 1, k + 1, n)``.  Rows ``l > depth`` of a node are
-        unspecified (never read: the traceback parameter satisfies
-        ``l <= depth``).
+        ``(height + 1, k + 1, n)``; ``X = min(y_red, y_blue)``.  Rows
+        ``l > depth`` of a node are unspecified (never read: the traceback
+        parameter satisfies ``l <= depth``).
     splits_blue, splits_red:
         Breadcrumb tensors of shape ``(height + 1, k + 1, total_stages)``.
     """
 
     tree: TreeNetwork
-    order: tuple[NodeId, ...]
-    index: dict[NodeId, int]
-    depth: np.ndarray
+    plan: FlatPlan
     load: np.ndarray
     avail: np.ndarray
-    leaf: np.ndarray
-    num_children: np.ndarray
-    child_concat: np.ndarray
-    child_offset: np.ndarray
-    stage_offset: np.ndarray
-    level_slices: tuple[tuple[int, int], ...]
     y_blue: np.ndarray
     y_red: np.ndarray
     splits_blue: np.ndarray
@@ -106,28 +301,20 @@ class FlatTables:
     #: :func:`cost_model_for`); never built by the engines themselves.
     cost_model: "FlatCostModel | None" = field(default=None, repr=False, compare=False)
 
-    def children_of(self, position: int) -> np.ndarray:
-        """Flat positions of the children of the node at ``position``."""
-        start = int(self.child_offset[position])
-        return self.child_concat[start : start + int(self.num_children[position])]
-
     def node_tables(self, position: int) -> NodeTables:
         """The per-node slab views of one flat position, as :class:`NodeTables`.
 
         ``y_blue`` / ``y_red`` and the breadcrumb slices are zero-copy views
         into the flat tensors; ``x`` and ``choice`` are derived per node
-        (``x = min(y_red, y_blue)`` elementwise and the strict
-        ``y_blue < y_red`` decision), which is bit-identical to slicing the
-        full-tensor versions the gather driver materializes — every valid
-        ``x`` entry was *written* as exactly that minimum.  This is what
-        lets a delta repair skip the O(n) view-materialization loop and
-        hand out per-node tables on demand (:class:`LazyNodeTables`).
+        (``min(y_red, y_blue)`` and the strict ``y_blue < y_red``), which
+        is bit-identical to what the gather computed: every valid ``x``
+        entry was *written* as exactly that minimum.
         """
-        rows = int(self.depth[position]) + 1
+        rows = int(self.plan.depth[position]) + 1
         y_blue = self.y_blue[:rows, :, position]
         y_red = self.y_red[:rows, :, position]
-        stages = max(int(self.num_children[position]) - 1, 0)
-        base = int(self.stage_offset[position])
+        stages = max(int(self.plan.num_children[position]) - 1, 0)
+        base = int(self.plan.stage_offset[position])
         return NodeTables(
             x=np.minimum(y_red, y_blue),
             y_blue=y_blue,
@@ -144,13 +331,14 @@ class FlatTables:
 
 @dataclass
 class FlatCostModel:
-    """Structural metadata the level-batched cost kernel traverses.
+    """A :class:`FlatPlan` plus the load vector the cost kernel evaluates.
 
-    The model captures only what Eq. (1) needs about the *topology and
-    rates*: loads and the blue set are inputs of every evaluation.  One
-    model therefore serves every workload network sharing the structure —
-    the online scheduler builds one per shared fleet network and feeds
-    per-arrival load mappings through it.
+    The plan captures what Eq. (1) needs about the *topology and rates*
+    (flat order, parent pointers, per-link ``rho``, level slabs, the
+    post-order permutation); loads and the blue set are inputs of every
+    evaluation.  One model therefore serves every workload network
+    sharing the structure — the online scheduler builds one per shared
+    fleet network and feeds per-arrival load mappings through it.
 
     Attributes
     ----------
@@ -159,167 +347,46 @@ class FlatCostModel:
         *different* (same-structure, same-rates) tree, its loads are
         re-derived instead of trusting the cached ``load`` array — the
         same foreign-tree contract the batched colour kernel follows.
-    order, index, level_slices:
-        The canonical flat layout (see :class:`FlatTables`).
-    parent:
-        Flat position of every node's parent; ``-1`` for the root (whose
-        parent is the destination).
-    rho:
-        Per-link transmission time ``rho((v, p(v)))`` in flat order.
+    plan:
+        The structure's :class:`FlatPlan`.
     load:
         The model tree's own loads in flat order (used only when the
         evaluation passes neither ``loads`` nor a foreign tree).
-    postorder:
-        Permutation mapping post-order rank to flat position: iterating
-        ``order[postorder[i]]`` visits the switches exactly as
-        ``tree.switches`` does, which is what lets the kernel reproduce
-        the reference summation order bit for bit.
-    postorder_nodes:
-        The switches in post-order (``tree.switches``), kept so per-link
-        dictionaries can be zipped without per-node lookups.
     """
 
     tree: TreeNetwork
-    order: tuple[NodeId, ...]
-    index: dict[NodeId, int]
-    parent: np.ndarray
-    rho: np.ndarray
+    plan: FlatPlan
     load: np.ndarray
-    level_slices: tuple[tuple[int, int], ...]
-    postorder: np.ndarray
-    postorder_nodes: tuple[NodeId, ...]
-
-    def load_vector(self, loads: Mapping[NodeId, int]) -> np.ndarray:
-        """A flat-order load array for an explicit load mapping.
-
-        Mirrors the reference kernels' ``loads.get(switch, 0)`` contract:
-        switches absent from the mapping carry load 0 and keys that are
-        not switches of the network are ignored.
-        """
-        vector = np.zeros(len(self.order), dtype=np.int64)
-        index = self.index
-        for node, value in loads.items():
-            position = index.get(node)
-            if position is not None:
-                vector[position] = int(value)
-        return vector
 
     def loads_for(self, tree: TreeNetwork, loads: Mapping[NodeId, int] | None) -> np.ndarray:
         """Resolve the effective flat-order load array of one evaluation."""
         if loads is not None:
-            return self.load_vector(loads)
+            return self.plan.load_vector(loads)
         if tree is self.tree:
             return self.load
-        return np.fromiter(
-            (tree.load(node) for node in self.order),
-            dtype=np.int64,
-            count=len(self.order),
-        )
+        return self.plan.tree_loads(tree)
 
 
 def cost_model_for(tree: TreeNetwork, flat: FlatTables | None = None) -> FlatCostModel:
     """Build (or fetch) the :class:`FlatCostModel` of a network.
 
     When ``flat`` tables gathered for the *same* tree are given, the model
-    reuses their order/index/load arrays and is cached on them, so a
-    gather artifact pays the construction once across every placement it
-    traces; bare trees get a fresh model (callers evaluating many
+    reuses their load array and is cached on them, so a gather artifact
+    pays the construction once across every placement it traces; bare
+    trees get a fresh model over the shared plan (callers evaluating many
     placements over one network should hold on to it).
     """
-    if flat is not None and flat.tree is tree and flat.cost_model is not None:
+    if flat is not None and flat.tree is tree:
+        if flat.cost_model is None:
+            flat.cost_model = FlatCostModel(tree=tree, plan=flat.plan, load=flat.load)
         return flat.cost_model
-    if flat is not None and flat.tree is tree:
-        order, index = flat.order, flat.index
-        load = flat.load
-        level_slices = flat.level_slices
-    else:
-        order = tuple(flat_order(tree))
-        index = {node: position for position, node in enumerate(order)}
-        load = np.fromiter((tree.load(v) for v in order), dtype=np.int64, count=len(order))
-        depth = np.fromiter((tree.depth(v) for v in order), dtype=np.int64, count=len(order))
-        level_slices = level_slices_for(depth, tree.height)
-    n = len(order)
-    destination = tree.destination
-    parent = np.fromiter(
-        (
-            index[p] if (p := tree.parent(v)) != destination else -1
-            for v in order
-        ),
-        dtype=np.int64,
-        count=n,
-    )
-    rho = np.fromiter((tree.rho(v) for v in order), dtype=np.float64, count=n)
-    postorder_nodes = tree.switches
-    postorder = np.fromiter(
-        (index[v] for v in postorder_nodes), dtype=np.int64, count=n
-    )
-    model = FlatCostModel(
-        tree=tree,
-        order=order,
-        index=index,
-        parent=parent,
-        rho=rho,
-        load=load,
-        level_slices=level_slices,
-        postorder=postorder,
-        postorder_nodes=postorder_nodes,
-    )
-    if flat is not None and flat.tree is tree:
-        flat.cost_model = model
-    return model
+    plan = plan_for(tree)
+    return FlatCostModel(tree=tree, plan=plan, load=plan.tree_loads(tree))
 
 
 def flat_order(tree: TreeNetwork) -> list[NodeId]:
     """The canonical flat node order: deepest level first, stable within."""
     return sorted(tree.switches, key=tree.depth, reverse=True)
-
-
-def level_slices_for(depth: np.ndarray, height: int) -> tuple[tuple[int, int], ...]:
-    """Per-level ``(start, stop)`` slabs of a descending-sorted depth array."""
-    negated = -depth
-    slices = []
-    for level in range(1, height + 1):
-        start = int(np.searchsorted(negated, -level, side="left"))
-        stop = int(np.searchsorted(negated, -level, side="right"))
-        slices.append((start, stop))
-    return tuple(slices)
-
-
-def build_metadata(
-    tree: TreeNetwork,
-    order: list[NodeId],
-    index: dict[NodeId, int],
-) -> dict:
-    """Compute every non-tensor field of :class:`FlatTables` for ``tree``."""
-    n = tree.num_switches
-    depth = np.fromiter((tree.depth(v) for v in order), dtype=np.int64, count=n)
-    load = np.fromiter((tree.load(v) for v in order), dtype=np.int64, count=n)
-    avail = np.fromiter((v in tree.available for v in order), dtype=bool, count=n)
-    num_children = np.fromiter(
-        (tree.num_children(v) for v in order), dtype=np.int64, count=n
-    )
-    child_offset = np.concatenate(([0], np.cumsum(num_children)[:-1]))
-    child_concat = np.fromiter(
-        (index[c] for v in order for c in tree.children(v)),
-        dtype=np.int64,
-        count=int(num_children.sum()),
-    )
-    stage_counts = np.maximum(num_children - 1, 0)
-    stage_offset = np.concatenate(([0], np.cumsum(stage_counts)[:-1]))
-    return {
-        "tree": tree,
-        "order": tuple(order),
-        "index": index,
-        "depth": depth,
-        "load": load,
-        "avail": avail,
-        "leaf": num_children == 0,
-        "num_children": num_children,
-        "child_concat": child_concat,
-        "child_offset": child_offset,
-        "stage_offset": stage_offset,
-        "level_slices": level_slices_for(depth, tree.height),
-    }
 
 
 def _stack_result(tree: TreeNetwork, result: GatherResult) -> FlatTables:
@@ -329,37 +396,36 @@ def _stack_result(tree: TreeNetwork, result: GatherResult) -> FlatTables:
     attaches its tensors directly).  Rows beyond a node's depth are left
     uninitialized, exactly as the flat engine leaves them.
     """
-    order = flat_order(tree)
-    index = {node: position for position, node in enumerate(order)}
-    meta = build_metadata(tree, order, index)
-    n = tree.num_switches
-    height = tree.height
+    plan = plan_for(tree)
+    n = len(plan.order)
+    height = plan.height
     width = result.budget + 1
-    stage_counts = np.maximum(meta["num_children"] - 1, 0)
-    total_stages = int(stage_counts.sum())
 
     y_blue = np.empty((height + 1, width, n), dtype=np.float64)
     y_red = np.empty((height + 1, width, n), dtype=np.float64)
-    splits_blue = np.zeros((height + 1, width, total_stages), dtype=np.int32)
-    splits_red = np.zeros((height + 1, width, total_stages), dtype=np.int32)
+    splits_blue = np.zeros((height + 1, width, plan.total_stages), dtype=np.int32)
+    splits_red = np.zeros((height + 1, width, plan.total_stages), dtype=np.int32)
 
-    for position, node in enumerate(order):
+    for position, node in enumerate(plan.order):
         tables = result.tables[node]
-        rows = int(meta["depth"][position]) + 1
+        rows = int(plan.depth[position]) + 1
         y_blue[:rows, :, position] = tables.y_blue
         y_red[:rows, :, position] = tables.y_red
-        base = int(meta["stage_offset"][position])
+        base = int(plan.stage_offset[position])
         for stage, split in enumerate(tables.splits_blue):
             splits_blue[:rows, :, base + stage] = split
         for stage, split in enumerate(tables.splits_red):
             splits_red[:rows, :, base + stage] = split
 
     return FlatTables(
+        tree=tree,
+        plan=plan,
+        load=plan.tree_loads(tree),
+        avail=plan.avail_vector(tree.available),
         y_blue=y_blue,
         y_red=y_red,
         splits_blue=splits_blue,
         splits_red=splits_red,
-        **meta,
     )
 
 
@@ -376,22 +442,21 @@ def flat_tables_for(tree: TreeNetwork, result: GatherResult) -> FlatTables:
 
 
 class LazyNodeTables(dict):
-    """``node -> NodeTables`` mapping materialized on demand from flat tensors.
+    """Read-only ``node -> NodeTables`` mapping materialized on demand.
 
-    A delta repair recomputes only the dirtied DP slabs; eagerly rebuilding
-    all ``n`` per-node views afterwards would cost a sizeable fraction of a
-    cold gather and defeat the point.  Repaired results therefore carry this
-    mapping instead: a real ``dict`` (so every consumer treating ``tables``
-    as a mapping keeps working) whose entries are built from
-    :meth:`FlatTables.node_tables` the first time a node is looked up.  The
-    batched colour kernel never reads ``tables`` at all, and
-    ``cost_for_budget`` touches only the root, so the common warm path
-    materializes a single node.
+    Every flat-engine result (cold gathers and delta repairs alike) carries
+    this mapping as ``tables``: eagerly building all ``n`` per-node views
+    costs a sizeable fraction of a cold gather, yet the batched colour
+    kernel never reads ``tables`` at all and ``cost_for_budget`` touches
+    only the root.  Entries are built from :meth:`FlatTables.node_tables`
+    the first time a node is looked up and cached.  It is a ``dict``
+    subclass, so every consumer treating ``tables`` as a mapping keeps
+    working, but the mutating methods raise ``TypeError``.
 
-    Bulk protocols (iteration, ``len``, ``keys``/``values``/``items``,
-    containment, equality) reflect the *full* node set: they materialize
-    every node in canonical flat order first, making the mapping
-    indistinguishable from the eager dict a cold gather builds.
+    Bulk protocols (iteration, ``keys``/``values``/``items``, equality)
+    reflect the *full* node set: they materialize every node in canonical
+    flat order first, making the mapping indistinguishable from an eager
+    dict.
     """
 
     def __init__(self, flat: FlatTables) -> None:
@@ -399,27 +464,27 @@ class LazyNodeTables(dict):
         self._flat = flat
 
     def __missing__(self, node: NodeId) -> NodeTables:
-        tables = self._flat.node_tables(self._flat.index[node])
+        tables = self._flat.node_tables(self._flat.plan.index[node])
         dict.__setitem__(self, node, tables)
         return tables
 
     # ``dict.get`` does not consult ``__missing__``; route it through
     # ``__getitem__`` so lazily-absent nodes still resolve.
     def get(self, node, default=None):
-        if node not in self._flat.index:
+        if node not in self._flat.plan.index:
             return default
         return self[node]
 
     def _materialize_all(self) -> None:
-        for node in self._flat.order:
+        for node in self._flat.plan.order:
             if not dict.__contains__(self, node):
                 self[node]
 
     def __contains__(self, node: object) -> bool:
-        return node in self._flat.index
+        return node in self._flat.plan.index
 
     def __len__(self) -> int:
-        return len(self._flat.order)
+        return len(self._flat.plan.order)
 
     def __iter__(self):
         self._materialize_all()
@@ -444,6 +509,12 @@ class LazyNodeTables(dict):
     def __ne__(self, other: object) -> bool:
         result = self.__eq__(other)
         return result if result is NotImplemented else not result
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("gather tables are read-only")
+
+    __setitem__ = __delitem__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 def dirty_ancestor_positions(

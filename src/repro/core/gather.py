@@ -32,6 +32,7 @@ These "breadcrumbs" are what :mod:`repro.core.color` traces back.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +87,10 @@ class GatherResult:
     Attributes
     ----------
     tables:
-        Mapping from every switch to its :class:`NodeTables`.
+        Read-only mapping from every switch to its :class:`NodeTables`.
+        The reference engine builds a plain dict; the flat engines hand
+        out a :class:`~repro.core.flat.LazyNodeTables` that builds each
+        entry on first read.
     root:
         The root switch ``r`` of the network the tables were built for.
     budget:
@@ -112,7 +116,7 @@ class GatherResult:
         budget sweeps over one gather price the metadata once.
     """
 
-    tables: dict[NodeId, NodeTables]
+    tables: Mapping[NodeId, NodeTables]
     root: NodeId
     budget: int
     requested_budget: int

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Hashable, Iterable, Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import networkx as nx
 
@@ -38,6 +38,9 @@ from repro.exceptions import (
     TreeStructureError,
 )
 
+if TYPE_CHECKING:
+    from repro.core.flat import FlatPlan
+
 NodeId = Hashable
 
 #: Default identifier of the destination server.
@@ -45,12 +48,14 @@ DEFAULT_DESTINATION: str = "d"
 
 
 def _digest(parts: Iterable[str]) -> str:
-    """Short hex digest of an iterable of canonical strings."""
-    hasher = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        hasher.update(part.encode())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    """Short hex digest of an iterable of canonical strings.
+
+    The hashed stream is every part followed by a ``\x00`` terminator,
+    fed to blake2b in one ``update``.
+    """
+    items = list(parts)
+    payload = "\x00".join(items) + "\x00" if items else ""
+    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
 #: Modulus of the :class:`IncrementalDigest` additive combine (256 bits).
@@ -190,6 +195,157 @@ def _validate_load(node: NodeId, load: Any) -> int:
     return value
 
 
+def _validated_loads(
+    parents: Mapping[NodeId, NodeId], loads: Mapping[NodeId, int]
+) -> dict[NodeId, int]:
+    """The full load function (switch order, 0 where absent) after validation."""
+    for key in loads:
+        if key not in parents:
+            raise InvalidLoadError(f"load given for unknown switch {key!r}")
+    result: dict[NodeId, int] = dict.fromkeys(parents, 0)
+    try:
+        for node, value in loads.items():
+            result[node] = _validate_load(node, value)
+    except InvalidLoadError:
+        # Report the first bad load in switch order, as a full scan would.
+        for node in parents:
+            _validate_load(node, loads.get(node, 0))
+        raise
+    return result
+
+
+class TreeStructure:
+    """The load- and Λ-independent half of a :class:`TreeNetwork`.
+
+    Topology, rates, and everything derived from them alone (children,
+    depths, cumulative path costs, the post-order, the height) are
+    validated and computed once by the constructor and then shared by
+    reference between a network and every clone
+    :meth:`TreeNetwork.with_loads` / :meth:`TreeNetwork.with_available`
+    derives from it.  :meth:`TreeNetwork.with_rates` changes ``rho`` and
+    therefore builds a new structure.
+
+    Two memos ride along and are the only attributes ever assigned after
+    construction: ``fingerprint`` (:meth:`TreeNetwork.structure_fingerprint`)
+    and ``plan``, the :class:`~repro.core.flat.FlatPlan` the flat engines
+    read (built on first use by :func:`repro.core.flat.plan_for`).  A
+    service deriving one workload network per request therefore pays the
+    O(n) topology bookkeeping once per structure, not once per request.
+    """
+
+    __slots__ = (
+        "destination",
+        "root",
+        "parents",
+        "children",
+        "rates",
+        "rho",
+        "depth",
+        "cum_rho",
+        "postorder",
+        "height",
+        "switch_set",
+        "fingerprint",
+        "plan",
+    )
+
+    def __init__(
+        self,
+        parents: Mapping[NodeId, NodeId],
+        rates: Mapping[NodeId, float],
+        destination: NodeId,
+    ) -> None:
+        if destination in parents:
+            raise TreeStructureError("the destination must not have a parent")
+        if not parents:
+            raise TreeStructureError("a tree network needs at least one switch")
+
+        self.destination: NodeId = destination
+        self.parents: dict[NodeId, NodeId] = dict(parents)
+
+        roots = [s for s, p in self.parents.items() if p == destination]
+        if len(roots) != 1:
+            raise TreeStructureError(
+                f"exactly one switch must have the destination as parent, found {len(roots)}"
+            )
+        self.root: NodeId = roots[0]
+
+        self.children: dict[NodeId, list[NodeId]] = {s: [] for s in self.parents}
+        self.children[destination] = []
+        for switch, parent in self.parents.items():
+            if switch == parent:
+                raise TreeStructureError(f"switch {switch!r} is its own parent")
+            if parent != destination and parent not in self.parents:
+                raise TreeStructureError(
+                    f"switch {switch!r} points at unknown parent {parent!r}"
+                )
+            self.children[parent].append(switch)
+
+        for key in rates:
+            if key not in self.parents:
+                raise InvalidRateError(f"rate given for unknown switch {key!r}")
+        self.rates: dict[NodeId, float] = {
+            s: _validate_rate(s, rates.get(s, 1.0)) for s in self.parents
+        }
+        self.rho: dict[NodeId, float] = {s: 1.0 / r for s, r in self.rates.items()}
+        self.switch_set: frozenset[NodeId] = frozenset(self.parents)
+
+        self.depth: dict[NodeId, int] = {}
+        self.cum_rho: dict[NodeId, float] = {destination: 0.0}
+        self.postorder: tuple[NodeId, ...] = self._compute_order()
+        self.height: int = max(self.depth.values(), default=0)
+        self.fingerprint: str | None = None
+        self.plan: FlatPlan | None = None
+
+    def _compute_order(self) -> tuple[NodeId, ...]:
+        """Compute depths, cumulative path costs, and a post-order traversal.
+
+        Uses an explicit stack so arbitrarily deep trees (e.g. path graphs
+        with thousands of switches) do not hit the interpreter recursion
+        limit.  Also detects cycles / disconnected switches.
+        """
+        depth = self.depth
+        cum_rho = self.cum_rho
+        depth[self.destination] = 0
+
+        order: list[NodeId] = []
+        stack: list[tuple[NodeId, bool]] = [(self.root, False)]
+        visited: set[NodeId] = set()
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if node in visited:
+                raise TreeStructureError(f"cycle detected at switch {node!r}")
+            visited.add(node)
+            parent = self.parents[node]
+            depth[node] = depth[parent] + 1
+            cum_rho[node] = cum_rho[parent] + self.rho[node]
+            stack.append((node, True))
+            for child in self.children[node]:
+                stack.append((child, False))
+
+        if len(visited) != len(self.parents):
+            missing = set(self.parents) - visited
+            raise TreeStructureError(
+                f"switches unreachable from the root: {sorted(map(repr, missing))}"
+            )
+        return tuple(order)
+
+    def validated_available(self, available: Iterable[NodeId] | None) -> frozenset[NodeId]:
+        """Λ as a frozenset of switches (``None`` means every switch)."""
+        if available is None:
+            return self.switch_set
+        available_set = frozenset(available)
+        if not available_set <= self.switch_set:
+            unknown = available_set - self.switch_set
+            raise AvailabilityError(
+                f"availability set references unknown switches: {sorted(map(repr, unknown))}"
+            )
+        return available_set
+
+
 class TreeNetwork:
     """A weighted tree of switches rooted (logically) at a destination server.
 
@@ -221,21 +377,7 @@ class TreeNetwork:
         If rates, loads, or Λ are malformed.
     """
 
-    __slots__ = (
-        "_destination",
-        "_root",
-        "_parents",
-        "_children",
-        "_rates",
-        "_rho",
-        "_loads",
-        "_available",
-        "_depth",
-        "_postorder",
-        "_cum_rho",
-        "_height",
-        "_fingerprints",
-    )
+    __slots__ = ("_structure", "_loads", "_available", "_fingerprints")
 
     def __init__(
         self,
@@ -245,105 +387,15 @@ class TreeNetwork:
         available: Iterable[NodeId] | None = None,
         destination: NodeId = DEFAULT_DESTINATION,
     ) -> None:
-        if destination in parents:
-            raise TreeStructureError("the destination must not have a parent")
-        if not parents:
-            raise TreeStructureError("a tree network needs at least one switch")
-
-        self._destination: NodeId = destination
-        self._parents: dict[NodeId, NodeId] = dict(parents)
-
-        roots = [s for s, p in self._parents.items() if p == destination]
-        if len(roots) != 1:
-            raise TreeStructureError(
-                f"exactly one switch must have the destination as parent, found {len(roots)}"
-            )
-        self._root: NodeId = roots[0]
-
-        self._children: dict[NodeId, list[NodeId]] = {s: [] for s in self._parents}
-        self._children[destination] = []
-        for switch, parent in self._parents.items():
-            if switch == parent:
-                raise TreeStructureError(f"switch {switch!r} is its own parent")
-            if parent != destination and parent not in self._parents:
-                raise TreeStructureError(
-                    f"switch {switch!r} points at unknown parent {parent!r}"
-                )
-            self._children[parent].append(switch)
-
-        rates = rates or {}
-        loads = loads or {}
-        for key in rates:
-            if key not in self._parents:
-                raise InvalidRateError(f"rate given for unknown switch {key!r}")
-        for key in loads:
-            if key not in self._parents:
-                raise InvalidLoadError(f"load given for unknown switch {key!r}")
-
-        self._rates: dict[NodeId, float] = {
-            s: _validate_rate(s, rates.get(s, 1.0)) for s in self._parents
-        }
-        self._rho: dict[NodeId, float] = {s: 1.0 / r for s, r in self._rates.items()}
-        self._loads: dict[NodeId, int] = {
-            s: _validate_load(s, loads.get(s, 0)) for s in self._parents
-        }
-
-        if available is None:
-            self._available: frozenset[NodeId] = frozenset(self._parents)
-        else:
-            available_set = frozenset(available)
-            unknown = available_set - set(self._parents)
-            if unknown:
-                raise AvailabilityError(
-                    f"availability set references unknown switches: {sorted(map(repr, unknown))}"
-                )
-            self._available = available_set
-
-        self._depth: dict[NodeId, int] = {}
-        self._cum_rho: dict[NodeId, float] = {destination: 0.0}
-        self._postorder: tuple[NodeId, ...] = self._compute_order()
-        self._height: int = max(self._depth.values(), default=0)
+        structure = TreeStructure(parents, rates or {}, destination)
+        self._structure: TreeStructure = structure
+        self._loads: dict[NodeId, int] = _validated_loads(structure.parents, loads or {})
+        self._available: frozenset[NodeId] = structure.validated_available(available)
         self._fingerprints: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-
-    def _compute_order(self) -> tuple[NodeId, ...]:
-        """Compute depths, cumulative path costs, and a post-order traversal.
-
-        Uses an explicit stack so arbitrarily deep trees (e.g. path graphs
-        with thousands of switches) do not hit the interpreter recursion
-        limit.  Also detects cycles / disconnected switches.
-        """
-        depth = self._depth
-        cum_rho = self._cum_rho
-        depth[self._destination] = 0
-
-        order: list[NodeId] = []
-        stack: list[tuple[NodeId, bool]] = [(self._root, False)]
-        visited: set[NodeId] = set()
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if node in visited:
-                raise TreeStructureError(f"cycle detected at switch {node!r}")
-            visited.add(node)
-            parent = self._parents[node]
-            depth[node] = depth[parent] + 1
-            cum_rho[node] = cum_rho[parent] + self._rho[node]
-            stack.append((node, True))
-            for child in self._children[node]:
-                stack.append((child, False))
-
-        if len(visited) != len(self._parents):
-            missing = set(self._parents) - visited
-            raise TreeStructureError(
-                f"switches unreachable from the root: {sorted(map(repr, missing))}"
-            )
-        return tuple(order)
 
     @classmethod
     def from_networkx(
@@ -411,17 +463,18 @@ class TreeNetwork:
         Edges point towards the destination and carry ``rate`` and ``rho``
         attributes; switch nodes carry ``load`` and ``available`` attributes.
         """
+        structure = self._structure
         graph = nx.DiGraph()
-        graph.add_node(self._destination, kind="destination")
-        for switch in self._parents:
+        graph.add_node(structure.destination, kind="destination")
+        for switch in structure.parents:
             graph.add_node(
                 switch,
                 kind="switch",
                 load=self._loads[switch],
                 available=switch in self._available,
             )
-        for switch, parent in self._parents.items():
-            graph.add_edge(switch, parent, rate=self._rates[switch], rho=self._rho[switch])
+        for switch, parent in structure.parents.items():
+            graph.add_edge(switch, parent, rate=structure.rates[switch], rho=structure.rho[switch])
         return graph
 
     # ------------------------------------------------------------------ #
@@ -431,22 +484,27 @@ class TreeNetwork:
     @property
     def destination(self) -> NodeId:
         """The destination server ``d``."""
-        return self._destination
+        return self._structure.destination
 
     @property
     def root(self) -> NodeId:
         """The root switch ``r`` (the unique child of the destination)."""
-        return self._root
+        return self._structure.root
+
+    @property
+    def structure(self) -> TreeStructure:
+        """The :class:`TreeStructure` this network shares with its clones."""
+        return self._structure
 
     @property
     def switches(self) -> tuple[NodeId, ...]:
         """All switches in post-order (children before parents, root last)."""
-        return self._postorder
+        return self._structure.postorder
 
     @property
     def num_switches(self) -> int:
         """Number of switches ``n`` (the destination is not counted)."""
-        return len(self._parents)
+        return len(self._structure.parents)
 
     @property
     def available(self) -> frozenset[NodeId]:
@@ -461,12 +519,12 @@ class TreeNetwork:
     @property
     def rates(self) -> dict[NodeId, float]:
         """A copy of the rate function, keyed by the child switch of each link."""
-        return dict(self._rates)
+        return dict(self._structure.rates)
 
     @property
     def height(self) -> int:
         """Height of the tree: the largest depth ``D(v)`` over all switches."""
-        return self._height
+        return self._structure.height
 
     @property
     def total_load(self) -> int:
@@ -474,10 +532,10 @@ class TreeNetwork:
         return sum(self._loads.values())
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._parents or node == self._destination
+        return node in self._structure.parents or node == self._structure.destination
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self._structure.parents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -487,19 +545,19 @@ class TreeNetwork:
 
     def is_switch(self, node: NodeId) -> bool:
         """Return ``True`` when ``node`` is a switch of the network."""
-        return node in self._parents
+        return node in self._structure.parents
 
     def parent(self, node: NodeId) -> NodeId:
         """Return the parent ``p(node)`` of a switch."""
         try:
-            return self._parents[node]
+            return self._structure.parents[node]
         except KeyError as exc:
             raise TreeStructureError(f"{node!r} is not a switch of this network") from exc
 
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
         """Return the children of ``node`` (which may be the destination)."""
         try:
-            return tuple(self._children[node])
+            return tuple(self._structure.children[node])
         except KeyError as exc:
             raise TreeStructureError(f"{node!r} is not a node of this network") from exc
 
@@ -509,11 +567,12 @@ class TreeNetwork:
 
     def is_leaf(self, node: NodeId) -> bool:
         """Return ``True`` when the switch has no children."""
-        return self.is_switch(node) and not self._children[node]
+        return self.is_switch(node) and not self._structure.children[node]
 
     def leaves(self) -> tuple[NodeId, ...]:
         """Return all leaf switches in post-order."""
-        return tuple(s for s in self._postorder if not self._children[s])
+        children = self._structure.children
+        return tuple(s for s in self._structure.postorder if not children[s])
 
     def load(self, node: NodeId) -> int:
         """Return the load ``L(node)`` of a switch."""
@@ -525,21 +584,21 @@ class TreeNetwork:
     def rate(self, node: NodeId) -> float:
         """Return the rate of the link between ``node`` and its parent."""
         try:
-            return self._rates[node]
+            return self._structure.rates[node]
         except KeyError as exc:
             raise InvalidRateError(f"{node!r} is not a switch of this network") from exc
 
     def rho(self, node: NodeId) -> float:
         """Return ``rho((node, p(node))) = 1 / rate``, the per-message link time."""
         try:
-            return self._rho[node]
+            return self._structure.rho[node]
         except KeyError as exc:
             raise InvalidRateError(f"{node!r} is not a switch of this network") from exc
 
     def depth(self, node: NodeId) -> int:
         """Return ``D(node)``: the number of edges between ``node`` and ``d``."""
         try:
-            return self._depth[node]
+            return self._structure.depth[node]
         except KeyError as exc:
             raise TreeStructureError(f"{node!r} is not a node of this network") from exc
 
@@ -552,18 +611,18 @@ class TreeNetwork:
 
         Two networks with the same structure fingerprint describe the same
         weighted tree; they may still differ in loads and availability.
-        Fingerprints are memoized per instance (the network is immutable).
+        Memoized on the shared :class:`TreeStructure`, so every clone
+        derived by :meth:`with_loads` / :meth:`with_available` digests the
+        structure at most once between them.
         """
-        cached = self._fingerprints.get("structure")
-        if cached is None:
-            cached = _digest(
-                [repr(self._destination)]
-                + sorted(
-                    f"{s!r}->{p!r}@{self._rates[s]!r}" for s, p in self._parents.items()
-                )
+        structure = self._structure
+        if structure.fingerprint is None:
+            rates = structure.rates
+            structure.fingerprint = _digest(
+                [repr(structure.destination)]
+                + sorted(f"{s!r}->{p!r}@{rates[s]!r}" for s, p in structure.parents.items())
             )
-            self._fingerprints["structure"] = cached
-        return cached
+        return structure.fingerprint
 
     def loads_fingerprint(self) -> str:
         """Digest of the load function ``L`` (see :func:`fingerprint_loads`)."""
@@ -617,15 +676,15 @@ class TreeNetwork:
             )
         current = node
         for _ in range(distance):
-            current = self._parents[current]
+            current = self._structure.parents[current]
         return current
 
     def ancestors(self, node: NodeId) -> tuple[NodeId, ...]:
         """Return the ancestors of ``node`` from its parent up to the destination."""
         result: list[NodeId] = []
         current = node
-        while current != self._destination:
-            current = self._parents[current]
+        while current != self._structure.destination:
+            current = self._structure.parents[current]
             result.append(current)
         return tuple(result)
 
@@ -634,7 +693,7 @@ class TreeNetwork:
         ``distance`` links on the path from ``node`` towards the destination.
         """
         ancestor = self.ancestor_at(node, distance)
-        return self._cum_rho[node] - self._cum_rho[ancestor]
+        return self._structure.cum_rho[node] - self._structure.cum_rho[ancestor]
 
     def path_rho_prefix(self, node: NodeId) -> list[float]:
         """Return ``[path_rho(node, l) for l in 0..D(node)]`` as one list.
@@ -645,18 +704,18 @@ class TreeNetwork:
         prefix: list[float] = [0.0]
         current = node
         total = 0.0
-        while current != self._destination:
-            total += self._rho[current]
+        while current != self._structure.destination:
+            total += self._structure.rho[current]
             prefix.append(total)
-            current = self._parents[current]
+            current = self._structure.parents[current]
         return prefix
 
     def rho_to_destination(self, node: NodeId) -> float:
         """Return the total per-message time from ``node`` all the way to ``d``."""
-        if node == self._destination:
+        if node == self._structure.destination:
             return 0.0
         try:
-            return self._cum_rho[node]
+            return self._structure.cum_rho[node]
         except KeyError as exc:
             raise TreeStructureError(f"{node!r} is not a node of this network") from exc
 
@@ -669,7 +728,7 @@ class TreeNetwork:
         while stack:
             current = stack.pop()
             result.append(current)
-            stack.extend(self._children[current])
+            stack.extend(self._structure.children[current])
         return tuple(result)
 
     def subtree_load(self, node: NodeId) -> int:
@@ -683,8 +742,8 @@ class TreeNetwork:
         destination (i.e. distance ``i`` from the root switch).
         """
         grouped: dict[int, list[NodeId]] = {}
-        for switch in self._postorder:
-            grouped.setdefault(self._depth[switch] - 1, []).append(switch)
+        for switch in self._structure.postorder:
+            grouped.setdefault(self._structure.depth[switch] - 1, []).append(switch)
         return [grouped[i] for i in sorted(grouped)]
 
     # ------------------------------------------------------------------ #
@@ -700,78 +759,67 @@ class TreeNetwork:
 
         Switches absent from ``loads`` get load 0 (the mapping fully replaces
         the previous loads; use ``{**tree.loads, ...}`` to patch instead).
-        ``available`` optionally replaces Λ in the same single construction
-        (``None`` means all switches, as in the constructor); omitting it
-        keeps the current Λ.  One combined call is how hot paths avoid
-        paying the structural validation twice for
-        ``with_loads(...).with_available(...)``.
+        ``available`` optionally replaces Λ in the same call (``None``
+        means all switches, as in the constructor); omitting it keeps the
+        current Λ.
+
+        Like :meth:`with_available`, the copy shares the
+        :class:`TreeStructure` (and with it the flat-engine plan) instead
+        of re-running the O(n) constructor: only the loads, and Λ when
+        given, are validated — raising the same errors the constructor
+        would.  The structure fingerprint transfers with the structure and
+        the Λ digest is patched by the delta.
         """
+        new_loads = _validated_loads(self._structure.parents, loads or {})
         if available is _KEEP_AVAILABLE:
-            available = self._available
-        return TreeNetwork(
-            self._parents,
-            rates=self._rates,
-            loads=loads,
-            available=available,
-            destination=self._destination,
-        )
+            return self._derive(new_loads, self._available)
+        return self._derive(new_loads, self._structure.validated_available(available))
 
     def with_available(self, available: Iterable[NodeId] | None) -> "TreeNetwork":
         """Return a copy of the network with a different availability set Λ.
 
-        The copy *structurally shares* every Λ-independent attribute with
-        ``self`` — parents, children, rates, loads, depths, cumulative
-        path costs, the post-order — instead of re-running the O(n)
+        The copy *structurally shares* the :class:`TreeStructure` —
+        parents, children, rates, depths, cumulative path costs, the
+        post-order, the structure fingerprint and the flat-engine plan —
+        and the load function with ``self`` instead of re-running the O(n)
         constructor: none of them can change when only Λ does, all of
         them are treated as immutable after construction, and the churn
         hot path (one availability flip per drain, repaired rather than
         re-gathered) calls this per request.  Only the new Λ itself is
         validated.
 
-        Fingerprint memos ride along the same way: structure and loads
-        are unaffected by Λ, so their cached digests transfer verbatim,
-        and a memoized availability fingerprint is *patched by the
-        delta* — the :class:`IncrementalDigest` is resumed from the
+        Fingerprint memos ride along the same way: the loads digest
+        transfers verbatim, and the availability digest is *patched by
+        the delta* — the :class:`IncrementalDigest` is resumed from the
         cached hex value and the added/removed switches are folded
         in/out, O(|delta|) instead of O(|Λ|).  :func:`fingerprint_nodes`
         remains the ground truth the patched digest is equivalent to
         (the combine is order-independent and every ``add`` has an exact
         inverse), which the test-suite pins against the full recompute.
         """
-        if available is None:
-            available_set = frozenset(self._parents)
-        else:
-            available_set = frozenset(available)
-            unknown = available_set - set(self._parents)
-            if unknown:
-                raise AvailabilityError(
-                    f"availability set references unknown switches: "
-                    f"{sorted(map(repr, unknown))}"
-                )
+        return self._derive(self._loads, self._structure.validated_available(available))
+
+    def _derive(
+        self, loads: dict[NodeId, int], available: frozenset[NodeId]
+    ) -> "TreeNetwork":
+        """A clone sharing this network's structure, with validated loads and Λ."""
         clone = object.__new__(TreeNetwork)
-        clone._destination = self._destination
-        clone._parents = self._parents
-        clone._root = self._root
-        clone._children = self._children
-        clone._rates = self._rates
-        clone._rho = self._rho
-        clone._loads = self._loads
-        clone._available = available_set
-        clone._depth = self._depth
-        clone._cum_rho = self._cum_rho
-        clone._postorder = self._postorder
-        clone._height = self._height
+        clone._structure = self._structure
+        clone._loads = loads
+        clone._available = available
         clone._fingerprints = {}
-        for key in ("structure", "loads"):
-            cached = self._fingerprints.get(key)
-            if cached is not None:
-                clone._fingerprints[key] = cached
-        cached = self._fingerprints.get("available")
-        if cached is not None:
-            digest = IncrementalDigest.from_hexdigest(cached)
-            for node in self._available - clone._available:
+        if loads is self._loads and "loads" in self._fingerprints:
+            clone._fingerprints["loads"] = self._fingerprints["loads"]
+        removed = self._available - available
+        added = available - self._available
+        if len(removed) + len(added) < len(available):
+            # Patching is cheaper than a full digest of the new Λ.  This
+            # network's digest is memoized first, so every later clone of
+            # it (one per request on a service's fleet network) patches too.
+            digest = IncrementalDigest.from_hexdigest(self.availability_fingerprint())
+            for node in removed:
                 digest.remove(repr(node))
-            for node in clone._available - self._available:
+            for node in added:
                 digest.add(repr(node))
             clone._fingerprints["available"] = digest.hexdigest()
         return clone
@@ -781,14 +829,14 @@ class TreeNetwork:
 
         Switches absent from ``rates`` keep their current rate.
         """
-        merged = dict(self._rates)
+        merged = dict(self._structure.rates)
         merged.update(rates)
         return TreeNetwork(
-            self._parents,
+            self._structure.parents,
             rates=merged,
             loads=self._loads,
             available=self._available,
-            destination=self._destination,
+            destination=self._structure.destination,
         )
 
     # ------------------------------------------------------------------ #

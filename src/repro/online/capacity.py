@@ -111,6 +111,15 @@ class CapacityTracker:
         """A copy of all residual capacities."""
         return dict(self._residual)
 
+    def residual_slots(self) -> int:
+        """Total residual capacity over all switches (drained ones hold 0)."""
+        return sum(self._residual.values())
+
+    @property
+    def num_available(self) -> int:
+        """``|Λ_t|``: the switches with residual capacity left."""
+        return len(self._available_set)
+
     def available(self) -> frozenset[NodeId]:
         """The availability set ``Λ_t`` for the next workload.
 
@@ -305,12 +314,9 @@ class CapacityTracker:
         Drained switches are excluded from both numerator and denominator:
         their forfeited slots are not "consumed", they no longer exist.
         """
-        total = sum(
-            value for s, value in self._initial.items() if s not in self._drained
-        )
+        retired = sorted(self._drained, key=repr)  # usually a handful of switches
+        total = sum(self._initial.values()) - sum(self._initial.get(s, 0) for s in retired)
         if total == 0:
             return 0.0
-        used = total - sum(
-            value for s, value in self._residual.items() if s not in self._drained
-        )
-        return used / total
+        residual = sum(self._residual.values()) - sum(self._residual.get(s, 0) for s in retired)
+        return (total - residual) / total

@@ -319,14 +319,18 @@ class FleetState:
         self._tenants = tenants
 
     def residual_summary(self) -> dict[str, int | float]:
-        """Aggregate capacity counters for the ``Stats`` endpoint."""
-        residual = self._tracker.residual_capacities()
+        """Aggregate capacity counters for the ``Stats`` endpoint.
+
+        Read from the tracker's maintained Λ set and C-level sums over the
+        residual map, without copying it.
+        """
+        tracker = self._tracker
         return {
             "active_tenants": len(self._tenants),
             "admitted_total": self._admitted_total,
             "released_total": self._released_total,
-            "drained_switches": len(self._tracker.drained),
-            "available_switches": sum(1 for value in residual.values() if value > 0),
-            "residual_slots": sum(residual.values()),
-            "capacity_utilization": self._tracker.utilization_of_capacity(),
+            "drained_switches": len(tracker.drained),
+            "available_switches": tracker.num_available,
+            "residual_slots": tracker.residual_slots(),
+            "capacity_utilization": tracker.utilization_of_capacity(),
         }

@@ -237,7 +237,7 @@ class TestRepairRefusals:
         result = flat_gather(workload, 2)
         with pytest.raises(RepairError, match="switch"):
             dirty_ancestor_positions(
-                workload, result.flat.index, {"no-such-switch"}
+                workload, result.flat.plan.index, {"no-such-switch"}
             )
 
     def test_table_repair_with_unknown_switch(self, workload):

@@ -197,6 +197,44 @@ class TestCapacityRelease:
         assert "a" in tracker.available()
 
 
+class TestResidualSummary:
+    """The Stats summary reads maintained counters, not a residual copy."""
+
+    @staticmethod
+    def _full_scan(state, capacity: int) -> dict:
+        tracker = state.tracker
+        residual = tracker.residual_capacities()
+        initial = dict.fromkeys(residual, capacity)
+        drained = tracker.drained
+        total = sum(v for s, v in initial.items() if s not in drained)
+        used = total - sum(v for s, v in residual.items() if s not in drained)
+        return {
+            "drained_switches": len(drained),
+            "available_switches": sum(1 for value in residual.values() if value > 0),
+            "residual_slots": sum(residual.values()),
+            "capacity_utilization": 0.0 if total == 0 else used / total,
+        }
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_matches_full_scan_across_churn(self, capacity):
+        tree = complete_binary_tree(16)
+        service = PlacementService(tree, capacity=capacity)
+        trace = generate_churn_trace(
+            tree, 150, seed=capacity, budget=4, workload_pool=4, max_drains=3
+        )
+        kinds = set()
+        for event in trace:
+            request = event_to_request(tree, event)
+            try:
+                service.submit(request)
+            except CapacityError:
+                pass  # a saturated fleet refuses the admit; the state is unchanged
+            kinds.add(event.kind)
+            summary = service.state.residual_summary()
+            expected = self._full_scan(service.state, capacity)
+            assert {key: summary[key] for key in expected} == expected
+        assert {"admit", "release", "drain"} <= kinds
+
 # --------------------------------------------------------------------------- #
 # cache unit tests
 # --------------------------------------------------------------------------- #
